@@ -356,7 +356,6 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget, Rng& rng,
                              double exploration_c, const Deadline& deadline,
                              bool& ran_any) {
   ran_any = false;
-  tree.reserve(tree.size() + static_cast<std::size_t>(budget));
   for (std::int64_t i = 0; i < budget; ++i) {
     if (deadline_reached(deadline)) {
       ++stats_.deadline_cutoffs;
@@ -394,9 +393,8 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
                                   double exploration_c,
                                   const Deadline& deadline, bool& ran_any) {
   ran_any = false;
-  // At most one node per iteration: pre-reserve so mid-tick add_child never
-  // reallocates the arena while descents hold node references.
-  tree.reserve(tree.size() + static_cast<std::size_t>(budget));
+  // No reservation: the chunked arena (mcts/tree.h) never moves a node on
+  // add_child, so the tree grows only with the nodes the ticks expand.
   const auto workers = static_cast<std::int64_t>(worker_guides_.size());
   // Absolute, worker-count-independent tick size (see MctsOptions): the
   // same seed and budget descend the same tree no matter how many workers
@@ -765,7 +763,6 @@ std::optional<int> MctsScheduler::decide_parallel(
         // than recomputed per worker — one network forward saved per
         // worker for guided search, bit-identical ordering either way.
         SearchTree tree(env);
-        tree.reserve(static_cast<std::size_t>(share) + 1);
         {
           SearchNode& root = tree.node(tree.root());
           root.untried = untried;
@@ -936,11 +933,17 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
 
   // Anytime mode: every decision gets its own wall-clock deadline, started
   // BEFORE the root guide evaluation so an expensive guide counts against
-  // the budget it actually consumes.
+  // the budget it actually consumes, and clamped to the whole-schedule
+  // deadline when one is set.
   const auto make_deadline = [this]() -> Deadline {
-    if (options_.time_budget_ms <= 0) return std::nullopt;
-    return std::chrono::steady_clock::now() +
-           std::chrono::milliseconds(options_.time_budget_ms);
+    Deadline deadline = schedule_deadline_;
+    if (options_.time_budget_ms > 0) {
+      const auto decision_end =
+          std::chrono::steady_clock::now() +
+          std::chrono::milliseconds(options_.time_budget_ms);
+      if (!deadline || decision_end < *deadline) deadline = decision_end;
+    }
+    return deadline;
   };
   // Real-trajectory fault counters come from the ONE persistent env that
   // both the serial and the parallel path step; the speculative per-worker

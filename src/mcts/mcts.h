@@ -36,9 +36,11 @@
 // found so far is returned; when not even one iteration completes (e.g. an
 // expensive guide evaluation already ate the budget) the decision degrades
 // gracefully to a configurable fallback heuristic instead of stalling.
-// Degradations and deadline cutoffs are counted in Stats.  Wall-clock
-// budgets trade the bit-for-bit determinism of the iteration budget for
-// bounded latency.
+// Degradations and deadline cutoffs are counted in Stats.  A whole-schedule
+// deadline (set_schedule_deadline) clamps every decision's deadline, so a
+// caller with one deadline for the whole job is not granted it once per
+// decision.  Wall-clock budgets trade the bit-for-bit determinism of the
+// iteration budget for bounded latency.
 //
 // Failure-aware search (options.faults set): the schedule is produced
 // against the fault-injected environment — failed tasks are retried under
@@ -269,7 +271,8 @@ class MctsScheduler : public Scheduler {
   /// Re-targets the per-schedule budgets without rebuilding the scheduler.
   /// The service daemon (DESIGN.md §12) keeps ONE scheduler (and thus one
   /// guide with its warmed inference workspaces) per worker and adjusts the
-  /// budgets to each request's remaining deadline before schedule().
+  /// iteration budgets per request before schedule(); the request's
+  /// deadline goes to set_schedule_deadline.
   /// Validation matches the constructor: budgets must be positive,
   /// time_budget_ms non-negative (0 = unlimited).  Never call concurrently
   /// with schedule().
@@ -287,6 +290,18 @@ class MctsScheduler : public Scheduler {
   /// Like set_anytime_budgets, never call concurrently with schedule().
   void set_cancel_token(const std::atomic<bool>* token) {
     cancel_token_ = token;
+  }
+
+  /// Caps the whole schedule() at an absolute wall-clock deadline: while
+  /// set, every decision's anytime deadline is clamped to it, so the search
+  /// as a whole (not each decision) ends by `deadline`, and the decisions
+  /// left after it degrade to the fallback heuristic.  The service sets it
+  /// to the request's admission-based deadline (DESIGN.md §12).  nullopt
+  /// (the default) leaves time_budget_ms a per-decision budget.  Like
+  /// set_anytime_budgets, never call concurrently with schedule().
+  void set_schedule_deadline(
+      std::optional<std::chrono::steady_clock::time_point> deadline) {
+    schedule_deadline_ = deadline;
   }
 
  private:
@@ -361,6 +376,8 @@ class MctsScheduler : public Scheduler {
   double abort_value_ = 0.0;
   /// Best-effort cancel token (set_cancel_token); null = never cancelled.
   const std::atomic<bool>* cancel_token_ = nullptr;
+  /// Whole-schedule deadline (set_schedule_deadline); nullopt = none.
+  std::optional<std::chrono::steady_clock::time_point> schedule_deadline_;
 };
 
 /// Deterministic greedy-packing estimate of the makespan from `env`'s

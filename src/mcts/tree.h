@@ -5,9 +5,10 @@
 // re-simulates a prefix.  Values are negative makespans; per the paper's
 // backpropagation rule every node tracks both the MAXIMUM value seen in
 // rollouts through it (the exploitation score) and the running mean (the
-// tiebreaker).  Nodes live in an arena indexed by NodeId; the arena is
-// pre-reserved to the decision budget (see MctsScheduler) so expansion is a
-// bump allocation, never a reallocation.
+// tiebreaker).  Nodes live in a chunked arena indexed by NodeId: fixed-size
+// blocks, each allocated whole and never reallocated, so expansion is a bump
+// allocation, a SearchNode& stays valid across add_child, and memory follows
+// the nodes actually expanded rather than the iteration budget.
 
 #pragma once
 
@@ -83,28 +84,40 @@ struct SearchNode {
 
 class SearchTree {
  public:
+  /// Nodes per arena block (a power of two): NodeId `id` lives at
+  /// blocks_[id >> kBlockShift][id & (kBlockSize - 1)].
+  static constexpr int kBlockShift = 6;
+  static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
+
   explicit SearchTree(SchedulingEnv root_state) {
-    nodes_.emplace_back(std::move(root_state));
+    emplace(std::move(root_state));
   }
+  // Move-only: a moved tree keeps its blocks, but a copied block would be
+  // reserved only to its size and move its nodes on the next append.
+  SearchTree(const SearchTree&) = delete;
+  SearchTree& operator=(const SearchTree&) = delete;
+  SearchTree(SearchTree&&) = default;
+  SearchTree& operator=(SearchTree&&) = default;
 
   NodeId root() const { return 0; }
-  SearchNode& node(NodeId id) { return nodes_[static_cast<std::size_t>(id)]; }
-  const SearchNode& node(NodeId id) const {
-    return nodes_[static_cast<std::size_t>(id)];
+  SearchNode& node(NodeId id) {
+    const auto i = static_cast<std::size_t>(id);
+    return blocks_[i >> kBlockShift][i & (kBlockSize - 1)];
   }
-  std::size_t size() const { return nodes_.size(); }
-
-  /// Pre-sizes the node arena to hold `total_nodes` nodes, so a budgeted
-  /// search (at most one expansion per iteration) never reallocates — and
-  /// never moves node states — mid-decision.
-  void reserve(std::size_t total_nodes) { nodes_.reserve(total_nodes); }
+  const SearchNode& node(NodeId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return blocks_[i >> kBlockShift][i & (kBlockSize - 1)];
+  }
+  std::size_t size() const {
+    return (blocks_.size() - 1) * kBlockSize + blocks_.back().size();
+  }
 
   /// Appends a child of `parent` reached via `action`.
   NodeId add_child(NodeId parent, int action, SchedulingEnv state) {
-    const auto id = static_cast<NodeId>(nodes_.size());
-    nodes_.emplace_back(std::move(state));
-    nodes_.back().parent = parent;
-    nodes_.back().action_from_parent = action;
+    const NodeId id = emplace(std::move(state));
+    SearchNode& child = node(id);
+    child.parent = parent;
+    child.action_from_parent = action;
     node(parent).children.push_back(id);
     return id;
   }
@@ -130,6 +143,20 @@ class SearchTree {
   }
 
  private:
+  /// Appends a parentless node, opening a new block when the last is full.
+  /// A block is reserved once to kBlockSize and never grows past it, so its
+  /// nodes never move.
+  NodeId emplace(SchedulingEnv state) {
+    if (blocks_.empty() || blocks_.back().size() == kBlockSize) {
+      std::vector<SearchNode> block;
+      block.reserve(kBlockSize);
+      blocks_.push_back(std::move(block));
+    }
+    const auto id = static_cast<NodeId>(size());
+    blocks_.back().emplace_back(std::move(state));
+    return id;
+  }
+
   /// Copies statistics/untried of `src` onto `dst` in `out`, then clones
   /// the children subtrees.
   void copy_node_into(SearchTree& out, NodeId src, NodeId dst,
@@ -153,7 +180,7 @@ class SearchTree {
     }
   }
 
-  std::vector<SearchNode> nodes_;
+  std::vector<std::vector<SearchNode>> blocks_;
 };
 
 }  // namespace spear

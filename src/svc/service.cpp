@@ -64,6 +64,13 @@ bool is_shed(ErrorCode code) {
   return code == ErrorCode::kQueueFull || code == ErrorCode::kQuotaExceeded;
 }
 
+/// Clears the per-request cancel token and deadline from a worker's
+/// scheduler once its request is answered, on every exit path.
+void detach_request(MctsScheduler& scheduler) {
+  scheduler.set_cancel_token(nullptr);
+  scheduler.set_schedule_deadline(std::nullopt);
+}
+
 }  // namespace
 
 // All counters live behind one mutex and every state transition updates
@@ -488,19 +495,23 @@ void SchedulerService::serve(Worker& worker, Job& job) {
         if (obs::enabled()) obs::count("svc.degraded_reduced");
         iterations = std::min(iterations, options_.min_iterations);
         worker.scheduler->set_anytime_budgets(iterations, iterations,
-                                              remaining_ms);
+                                              /*time_budget_ms=*/0);
       } else {
-        // Rung 0: full search, wall-clock capped to the remaining deadline.
+        // Rung 0: full search.
         worker.scheduler->set_anytime_budgets(
             iterations, std::min(options_.min_iterations, iterations),
-            remaining_ms);
+            /*time_budget_ms=*/0);
       }
-      // Attach the cancel token for the search's whole lifetime: a cancel
-      // arriving mid-search trips the next anytime checkpoint and the
-      // search finishes cheaply with its fallback heuristic.
+      // The request's deadline caps the whole search, not each decision
+      // (a per-decision time_budget_ms would grant every decision the full
+      // remainder).  The cancel token is attached for the search's whole
+      // lifetime: a cancel arriving mid-search trips the next anytime
+      // checkpoint and the search finishes cheaply with its fallback
+      // heuristic.
       worker.scheduler->set_cancel_token(job.cancelled.get());
+      worker.scheduler->set_schedule_deadline(job.deadline);
       schedule = worker.scheduler->schedule(*job.dag, options_.capacity);
-      worker.scheduler->set_cancel_token(nullptr);
+      detach_request(*worker.scheduler);
       const MctsScheduler::Stats& stats = worker.scheduler->last_stats();
       if (!cancelled()) {
         // A cancelled search's degradations are an artifact of the cutoff,
@@ -538,13 +549,13 @@ void SchedulerService::serve(Worker& worker, Job& job) {
     if (job.respond) job.respond(true, result, Rejection{});
   } catch (const std::exception& e) {
     // Request isolation: whatever this job did, only this job fails.
-    worker.scheduler->set_cancel_token(nullptr);
+    detach_request(*worker.scheduler);
     if (obs::enabled()) obs::count("svc.internal_errors");
     reject_in_flight(job, Rejection{ErrorCode::kInternal,
                                     std::string("request failed: ") + e.what(),
                                     -1});
   } catch (...) {
-    worker.scheduler->set_cancel_token(nullptr);
+    detach_request(*worker.scheduler);
     if (obs::enabled()) obs::count("svc.internal_errors");
     reject_in_flight(job, Rejection{ErrorCode::kInternal,
                                     "request failed: unknown error", -1});

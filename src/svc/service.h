@@ -12,8 +12,8 @@
 // its remaining deadline via a degradation ladder:
 //
 //   rung 0 "search"     remaining >= full_search_floor_ms: anytime MCTS at
-//                       the full iteration budget, wall-clock capped to the
-//                       remaining deadline
+//                       the full iteration budget, the whole search capped
+//                       at the request's deadline
 //   rung 1 "reduced"    remaining < full_search_floor_ms: same search at
 //                       the minimum iteration budget
 //   rung 2 "heuristic"  remaining < heuristic_floor_ms: the CP x Tetris

@@ -1,6 +1,12 @@
 #include "mcts/mcts.h"
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <functional>
 #include <memory>
+#include <new>
 
 #include <gtest/gtest.h>
 
@@ -283,6 +289,92 @@ TEST(SearchTree, RerootKeepsSubtreeStatistics) {
   EXPECT_EQ(rerooted.size(), 2u);  // sibling-free: only the subtree
 }
 
+TEST(MctsArena, NodesStayPutAcrossBlockBoundaries) {
+  // A heap-shaped binary tree (node i's parent is (i - 1) / 2) spanning
+  // several arena blocks: references taken before later blocks open must
+  // still alias the same live nodes, and a reroot copy must be an
+  // independent, unchanged snapshot while either tree keeps growing.
+  SearchTree tree(make_env(testing::make_independent(
+      3, 2, ResourceVector{0.3, 0.3})));
+  const SchedulingEnv state = tree.node(tree.root()).state;
+  const std::size_t total = 3 * SearchTree::kBlockSize + 5;
+  std::vector<const SearchNode*> addresses{&tree.node(tree.root())};
+  for (std::size_t i = 1; i < total; ++i) {
+    const auto parent = static_cast<NodeId>((i - 1) / 2);
+    const NodeId id = tree.add_child(parent, static_cast<int>(i), state);
+    ASSERT_EQ(static_cast<std::size_t>(id), i);
+    addresses.push_back(&tree.node(id));
+  }
+  ASSERT_EQ(tree.size(), total);
+  SearchNode& first = tree.node(1);
+  for (std::size_t i = 0; i < total; ++i) {
+    const auto id = static_cast<NodeId>(i);
+    EXPECT_EQ(&tree.node(id), addresses[i]) << "node " << i;
+    EXPECT_EQ(tree.node(id).action_from_parent, static_cast<int>(i));
+  }
+
+  // Node 1's subtree: every node whose parent chain reaches 1.
+  const auto below_first = [](std::size_t i) {
+    while (i > 1) i = (i - 1) / 2;
+    return i == 1;
+  };
+  std::size_t subtree = 0;
+  std::size_t deepest = 1;
+  for (std::size_t i = 1; i < total; ++i) {
+    if (!below_first(i)) continue;
+    ++subtree;
+    deepest = i;
+  }
+  ASSERT_GE(deepest, 2 * SearchTree::kBlockSize);
+
+  // Backpropagating from the deepest node below node 1 (two blocks later)
+  // updates the nodes the earlier references point at.
+  tree.backpropagate(static_cast<NodeId>(deepest), -7.0);
+  EXPECT_EQ(first.visits, 1);
+  EXPECT_DOUBLE_EQ(addresses[0]->max_value, -7.0);
+
+  SearchTree copy = tree.reroot(1);
+  ASSERT_EQ(copy.size(), subtree);
+  ASSERT_GT(copy.size(), SearchTree::kBlockSize);
+
+  // Grow both trees across another block boundary while holding
+  // references into each.
+  const SearchNode& copy_root = copy.node(copy.root());
+  const SearchNode* copy_last = &copy.node(static_cast<NodeId>(subtree - 1));
+  const int copy_last_action = copy_last->action_from_parent;
+  for (std::size_t i = 0; i < SearchTree::kBlockSize + 1; ++i) {
+    tree.add_child(tree.root(), -1, state);
+    copy.add_child(copy.root(), -2, state);
+  }
+  EXPECT_EQ(&copy.node(static_cast<NodeId>(subtree - 1)), copy_last);
+  EXPECT_EQ(copy_last->action_from_parent, copy_last_action);
+  EXPECT_EQ(&copy.node(copy.root()), &copy_root);
+  EXPECT_EQ(copy_root.visits, 1);
+  EXPECT_DOUBLE_EQ(copy_root.max_value, -7.0);
+  EXPECT_EQ(&tree.node(1), &first);
+  EXPECT_EQ(first.children.size(), 2u);  // the copy's growth is not shared
+
+  // The copy mirrors the original subtree node for node.
+  const std::function<void(NodeId, NodeId)> expect_same =
+      [&](NodeId original, NodeId cloned) {
+        const SearchNode& a = tree.node(original);
+        const SearchNode& b = copy.node(cloned);
+        EXPECT_EQ(a.visits, b.visits);
+        EXPECT_EQ(a.max_value, b.max_value);
+        if (cloned != copy.root()) {
+          EXPECT_EQ(a.action_from_parent, b.action_from_parent);
+          ASSERT_EQ(a.children.size(), b.children.size());
+          for (std::size_t c = 0; c < a.children.size(); ++c) {
+            expect_same(a.children[c], b.children[c]);
+          }
+        }
+      };
+  expect_same(1, copy.root());
+  for (std::size_t c = 0; c < first.children.size(); ++c) {
+    expect_same(first.children[c], copy_root.children[c]);
+  }
+}
+
 TEST(Mcts, RejectsNonPositiveThreadCount) {
   MctsOptions options;
   options.num_threads = 0;
@@ -440,6 +532,69 @@ TEST(Mcts, UncloneableGuideFallsBackToSerialSearch) {
   Dag dag = testing::make_independent(4, 5, ResourceVector{0.5, 0.5});
   EXPECT_EQ(validated_makespan(mcts, dag, cap()), 10);
   EXPECT_GT(mcts.last_stats().iterations, 0);
+}
+
+// ASan and TSan reserve terabytes of shadow address space, so they cannot
+// run under an address-space limit at all.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SPEAR_TEST_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SPEAR_TEST_SHADOW_MEMORY 1
+#endif
+#endif
+
+/// Runs one 50M-iteration, 100 ms-per-decision schedule() in a forked child
+/// whose address space is capped at 1 GiB, and returns the child's wait
+/// status.  The child exits 0 on a valid schedule, 2 on std::bad_alloc, 3 on
+/// any other exception and 4 on an invalid schedule.
+int schedule_under_address_limit(MctsOptions options) {
+  options.initial_budget = 50'000'000;
+  options.min_budget = 50'000'000;
+  options.time_budget_ms = 100;
+  const Dag dag = testing::make_independent(4, 3, ResourceVector{0.4, 0.4});
+  const pid_t pid = fork();
+  if (pid == 0) {
+    int code = 0;
+    const rlimit limit{rlim_t{1} << 30, rlim_t{1} << 30};
+    if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(5);
+    try {
+      MctsScheduler mcts(options);
+      const Schedule schedule = mcts.schedule(dag, cap());
+      if (schedule.validate(dag, cap()) != std::nullopt) code = 4;
+    } catch (const std::bad_alloc&) {
+      code = 2;
+    } catch (...) {
+      code = 3;
+    }
+    _exit(code);
+  }
+  int status = -1;
+  if (pid < 0 || waitpid(pid, &status, 0) != pid) return -1;
+  return status;
+}
+
+TEST(MctsMemory, DeepBudgetSearchFitsUnderAddressLimit) {
+#ifdef SPEAR_TEST_SHADOW_MEMORY
+  GTEST_SKIP() << "sanitizer shadow memory cannot run under RLIMIT_AS";
+#else
+  // Memory must follow the nodes the deadline lets the search expand, not
+  // the iteration budget: reserving 50M nodes up front needs tens of GB.
+  MctsOptions serial;
+  MctsOptions root_parallel;
+  root_parallel.num_threads = 2;
+  MctsOptions leaf;
+  leaf.search_mode = SearchMode::kLeaf;
+  leaf.num_threads = 2;
+  for (const auto& [name, options] :
+       {std::pair<const char*, MctsOptions>{"serial", serial},
+        {"root-parallel", root_parallel},
+        {"leaf", leaf}}) {
+    const int status = schedule_under_address_limit(options);
+    ASSERT_TRUE(WIFEXITED(status)) << name << ": wait status " << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << name;
+  }
+#endif
 }
 
 TEST(GreedyEstimate, MatchesHeuristicRollout) {

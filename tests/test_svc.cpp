@@ -306,6 +306,30 @@ TEST(SvcService, DegradationLadderReportsItsRung) {
   }
 }
 
+TEST(SvcService, RequestDeadlineCapsTheWholeSearch) {
+  // budget_ms bounds the whole request, not each decision: 10 independent
+  // tasks make several searched decisions, and with a 50M-iteration budget
+  // only the deadline ends a search.  Decisions reached after the deadline
+  // take the fallback heuristic, which costs microseconds.
+  ServiceOptions options;
+  options.workers = 1;
+  options.search_iterations = 50'000'000;
+  options.min_iterations = 100;
+  SchedulerService service(options);
+  service.start();
+
+  SubmitRequest request;
+  request.id = "capped";
+  request.dag_text = dag_to_text(testing::make_independent(10, 3));
+  request.budget_ms = 300;
+  const Outcome outcome = roundtrip(service, request);
+  ASSERT_TRUE(outcome.ok) << outcome.rejection.message;
+  EXPECT_EQ(outcome.result.mode, ServeMode::kSearch);
+  EXPECT_EQ(outcome.result.placements.size(), 10u);
+  EXPECT_TRUE(outcome.result.degraded);
+  EXPECT_LT(outcome.result.search_ms, 2.0 * request.budget_ms);
+}
+
 TEST(SvcService, DrainAnswersEverythingThenRejectsNewWork) {
   ServiceOptions options;
   options.workers = 2;
