@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
       flags.define_int("threads", 1, "parallel search workers");
   const auto search_mode = flags.define_string(
       "search-mode", "root",
-      "parallel search architecture: root (per-worker trees) or leaf "
-      "(shared tree + batched central evaluator)");
+      "search path: root (the serial search, one thread) or leaf (shared "
+      "tree + batched central evaluator; needed for --threads > 1)");
   const auto tree_reuse = flags.define_bool(
       "tree-reuse", true,
       "leaf mode: reuse the chosen subtree across decisions "
@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
   obs_flags.install();
   const SearchMode mode = parse_search_mode(*search_mode);
+  check_search_threads("threads", *threads, mode);
 
   const std::size_t n_jobs = *paper ? 10 : static_cast<std::size_t>(*jobs);
   const std::size_t n_tasks = *paper ? 100 : static_cast<std::size_t>(*tasks);

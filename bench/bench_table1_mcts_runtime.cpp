@@ -6,8 +6,8 @@
 // reproduce is the monotone growth along both axes.
 //
 // Default: the paper's own grid — pure MCTS in C++ is fast enough that no
-// scaled-down variant is needed.  --threads N runs the root-parallel
-// search; besides the runtime, every cell reports the search telemetry
+// scaled-down variant is needed.  --threads N (with --search-mode=leaf)
+// runs the leaf-parallel search; besides the runtime, every cell reports the search telemetry
 // (per-decision wall time, iterations, rollouts, iterations/sec).
 
 #include <cstdio>
@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
       flags.define_int("threads", 1, "parallel search workers");
   const auto search_mode = flags.define_string(
       "search-mode", "root",
-      "parallel search architecture: root (per-worker trees) or leaf "
-      "(shared tree + batched central evaluator)");
+      "search path: root (the serial search, one thread) or leaf (shared "
+      "tree + batched central evaluator; needed for --threads > 1)");
   const auto tree_reuse = flags.define_bool(
       "tree-reuse", true,
       "leaf mode: reuse the chosen subtree across decisions "
@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
   obs_flags.install();
   const SearchMode mode = parse_search_mode(*search_mode);
+  check_search_threads("threads", *threads, mode);
 
   // The pure-MCTS search is fast enough in C++ that the paper's own grid
   // is the default — no scaled-down variant needed.

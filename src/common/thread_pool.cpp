@@ -101,7 +101,7 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       }
       // Metrics-only span: task runtime feeds the pool.task.ms histogram
       // (worker utilization); trace tracks come from the higher-level
-      // spans the task itself opens (e.g. mcts.worker).
+      // spans the task itself opens.
       obs::ScopedTimer run_span("pool.task", "pool", /*with_trace=*/false);
       task();  // exceptions land in the task's future
       continue;

@@ -18,6 +18,18 @@ SearchMode parse_search_mode(const std::string& value) {
                               "' (expected root or leaf)");
 }
 
+void check_search_threads(const std::string& flag, std::int64_t threads,
+                          SearchMode mode) {
+  if (threads < 1) {
+    throw std::invalid_argument("--" + flag + " must be at least 1");
+  }
+  if (threads > 1 && mode != SearchMode::kLeaf) {
+    throw std::invalid_argument(
+        "--" + flag + "=" + std::to_string(threads) +
+        " needs --search-mode=leaf: the serial search runs on one thread");
+  }
+}
+
 std::unique_ptr<MctsScheduler> make_spear_scheduler(
     std::shared_ptr<const Policy> policy, SpearOptions options) {
   MctsOptions mcts;

@@ -33,7 +33,8 @@ struct SpearOptions {
   /// deterministic play and measures noticeably better on both random DAGs
   /// and the trace workload.
   bool sample_rollouts = false;
-  /// Root-parallel search workers (MctsOptions::num_threads); 1 = serial.
+  /// Search worker threads (MctsOptions::num_threads); N > 1 needs
+  /// search_mode kLeaf.
   int num_threads = 1;
   /// Anytime wall-clock budget per decision in ms; 0 = unlimited
   /// (MctsOptions::time_budget_ms).
@@ -42,26 +43,31 @@ struct SpearOptions {
   /// with `retry` (MctsOptions::faults / MctsOptions::retry).
   std::shared_ptr<const FaultInjector> faults;
   RetryOptions retry;
-  /// Parallel-search architecture: kRoot (per-worker trees) or kLeaf (one
-  /// shared tree + batched central evaluator; MctsOptions::search_mode).
+  /// Search path: kRoot (the serial search) or kLeaf (one shared tree +
+  /// batched central evaluator; MctsOptions::search_mode).
   SearchMode search_mode = SearchMode::kRoot;
   /// Leaf mode: reuse the chosen subtree across decisions
   /// (MctsOptions::leaf_tree_reuse); the benches' --no-tree-reuse clears it.
   bool leaf_tree_reuse = true;
 };
 
-/// Parses a --search-mode flag value ("root" or "leaf"); throws
-/// std::invalid_argument on anything else.
+/// Parses a --search-mode flag value ("root" = the serial search, or
+/// "leaf"); throws std::invalid_argument on anything else.
 SearchMode parse_search_mode(const std::string& value);
+
+/// Flag-parse check for a search-thread flag (`flag` names it, e.g.
+/// "threads"): throws std::invalid_argument unless `threads` is 1, or is
+/// above 1 with `mode` kLeaf — only leaf search runs several threads.
+void check_search_threads(const std::string& flag, std::int64_t threads,
+                          SearchMode mode);
 
 /// Builds the Spear scheduler around a trained policy.
 std::unique_ptr<MctsScheduler> make_spear_scheduler(
     std::shared_ptr<const Policy> policy, SpearOptions options = {});
 
 /// Builds the pure-MCTS scheduler (random expansion/rollout) used as the
-/// paper's ablation baseline.  `num_threads` > 1 enables parallel search
-/// in the given `search_mode` (see MctsOptions::num_threads /
-/// MctsOptions::search_mode).
+/// paper's ablation baseline.  `num_threads` > 1 needs `search_mode`
+/// kLeaf (see MctsOptions::num_threads / MctsOptions::search_mode).
 std::unique_ptr<MctsScheduler> make_mcts_scheduler(
     std::int64_t initial_budget, std::int64_t min_budget,
     std::uint64_t seed = 42, int num_threads = 1,

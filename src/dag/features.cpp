@@ -10,6 +10,10 @@ DagFeatures::DagFeatures(const Dag& dag) : resource_dims_(dag.resource_dims()) {
   b_load_.assign(n, ResourceVector(resource_dims_));
   num_children_.assign(n, 0);
   num_descendants_.assign(n, 0);
+  total_load_.reserve(resource_dims_);
+  for (std::size_t r = 0; r < resource_dims_; ++r) {
+    total_load_.push_back(dag.total_load(r));
+  }
 
   // Descendant sets via bitsets, processed in reverse topological order.
   // O(V * V / 64 + E * V / 64): fine for the graph sizes we schedule (<= a

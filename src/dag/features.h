@@ -10,6 +10,9 @@
 //    with larger b-load), which matches the motivation of capturing how much
 //    resource pressure sits downstream of the task.
 //  * number of children: the classic b-level tiebreaker.
+//  * total load (per resource): sum of runtime x demand over all tasks, the
+//    featurizer's b-load normalizer (Dag::total_load, cached here because
+//    it is O(tasks) and the featurizer needs it per ready task).
 //
 // Features are computed once per DAG in reverse topological order (O(V+E))
 // and exposed as plain arrays indexed by TaskId.
@@ -47,6 +50,11 @@ class DagFeatures {
     return num_descendants_[static_cast<std::size_t>(id)];
   }
 
+  /// Dag::total_load(resource), computed once (same summation order).
+  double total_load(std::size_t resource) const {
+    return total_load_[resource];
+  }
+
   /// The DAG's critical-path length: max b-level over all tasks.
   Time critical_path() const { return critical_path_; }
 
@@ -57,6 +65,7 @@ class DagFeatures {
   std::vector<ResourceVector> b_load_;
   std::vector<std::size_t> num_children_;
   std::vector<std::size_t> num_descendants_;
+  std::vector<double> total_load_;
   Time critical_path_ = 0;
   std::size_t resource_dims_ = 2;
 };

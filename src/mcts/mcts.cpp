@@ -28,21 +28,11 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Independent deterministic RNG stream for one (decision, worker) pair.
-/// Two SplitMix64 passes decorrelate nearby decision/worker indices, so
-/// worker streams do not overlap run-to-run or with the serial stream.
-std::uint64_t worker_stream_seed(std::uint64_t seed, std::uint64_t decision,
-                                 std::uint64_t worker) {
-  SplitMix64 outer(seed ^ (decision * 0x9e3779b97f4a7c15ULL));
-  SplitMix64 inner(outer.next() ^ (worker + 1));
-  return inner.next();
-}
-
 /// Independent deterministic RNG stream for one (decision, iteration) slot
 /// of the leaf-parallel search.  Keyed by the GLOBAL iteration index, not
 /// the worker id, so a slot's rollout stream is the same no matter how
 /// slots are partitioned across workers; the salt keeps the streams
-/// disjoint from the root-parallel worker streams.
+/// disjoint from the serial search's stream, which is seeded directly.
 std::uint64_t leaf_stream_seed(std::uint64_t seed, std::uint64_t decision,
                                std::uint64_t iteration) {
   SplitMix64 outer(seed ^ 0x1eafc0de00000000ULL ^
@@ -85,18 +75,6 @@ struct LeafJob {
   // Evaluation-queue bookkeeping (coordinator side).
   std::vector<std::pair<int, double>> priors;  ///< new child's ordering
   std::chrono::steady_clock::time_point enqueued;  ///< obs: queue wait
-};
-
-/// Merged per-action root statistics for root-parallel search.
-struct RootActionStat {
-  int action = 0;
-  std::int64_t visits = 0;
-  double max_value = -std::numeric_limits<double>::infinity();
-  double sum_value = 0.0;
-
-  double mean_value() const {
-    return visits > 0 ? sum_value / static_cast<double>(visits) : 0.0;
-  }
 };
 
 /// Constructs every candidate child of `parent` up front and scores all
@@ -171,6 +149,11 @@ MctsScheduler::MctsScheduler(MctsOptions options,
     throw std::invalid_argument(
         "MctsScheduler: num_threads must be at least 1");
   }
+  if (options_.num_threads > 1 && options_.search_mode != SearchMode::kLeaf) {
+    throw std::invalid_argument(
+        "MctsScheduler: num_threads > 1 needs search_mode kLeaf (the serial "
+        "search runs on one thread)");
+  }
   if (options_.time_budget_ms < 0) {
     throw std::invalid_argument(
         "MctsScheduler: time_budget_ms must be non-negative");
@@ -202,9 +185,8 @@ void MctsScheduler::set_anytime_budgets(std::int64_t initial_budget,
   options_.time_budget_ms = time_budget_ms;
 }
 
-double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
-                                  Rng& rng, double exploration_c,
-                                  Stats& stats) {
+double MctsScheduler::search_once(SearchTree& tree, Rng& rng,
+                                  double exploration_c) {
   // --- Selection: descend while fully expanded. ---
   NodeId current = tree.root();
   while (true) {
@@ -248,11 +230,11 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
       PreparedChild pc = std::move(selected.prepared.front());
       selected.prepared.erase(selected.prepared.begin());
       selected.untried.erase(selected.untried.begin());
-      ++stats.env_copies;
+      ++stats_.env_copies;
       if (options_.faults) {
-        stats.search_failures += pc.fault_failures;
-        stats.search_retries += pc.fault_retries;
-        if (pc.aborted) ++stats.search_aborts;
+        stats_.search_failures += pc.fault_failures;
+        stats_.search_retries += pc.fault_retries;
+        if (pc.aborted) ++stats_.search_aborts;
       }
       const int action = pc.action;
       const bool aborted = pc.aborted;
@@ -267,7 +249,7 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
       const int action = selected.untried.front().first;
       selected.untried.erase(selected.untried.begin());
       SchedulingEnv child_state = selected.state;
-      ++stats.env_copies;
+      ++stats_.env_copies;
       const EnvFaultStats pre_expand = child_state.fault_stats();
       bool aborted = false;
       try {
@@ -278,26 +260,25 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
         aborted = true;
       }
       if (options_.faults) {
-        // Speculative fault telemetry: counted into THIS call's stats
-        // object, so parallel workers accumulate privately and merge later.
-        stats.search_failures +=
+        // Speculative fault telemetry (expansion steps and rollouts).
+        stats_.search_failures +=
             child_state.fault_stats().failures - pre_expand.failures;
-        stats.search_retries +=
+        stats_.search_retries +=
             child_state.fault_stats().retries - pre_expand.retries;
-        if (aborted) ++stats.search_aborts;
+        if (aborted) ++stats_.search_aborts;
       }
       child_id = tree.add_child(current, action, std::move(child_state));
       SearchNode& child = tree.node(child_id);
       child.aborted = aborted;
       child.terminal = aborted || child.state.done();
       if (!child.terminal) {
-        child.untried = guide.action_weights(child.state);
+        child.untried = guide_->action_weights(child.state);
       }
     }
     current = child_id;
-    ++stats.nodes_expanded;
+    ++stats_.nodes_expanded;
   }
-  ++stats.iterations;
+  ++stats_.iterations;
 
   // --- Simulation: rollout to termination with the guide policy. ---
   double value;
@@ -308,24 +289,24 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
     value = -static_cast<double>(leaf.state.makespan());
   } else {
     SchedulingEnv rollout = leaf.state;
-    ++stats.env_copies;
+    ++stats_.env_copies;
     const EnvFaultStats pre_rollout = rollout.fault_stats();
     try {
       while (!rollout.done()) {
-        apply_action(rollout, guide.pick(rollout, rng));
+        apply_action(rollout, guide_->pick(rollout, rng));
       }
       value = -static_cast<double>(rollout.makespan());
     } catch (const JobAbortedError&) {
       value = abort_value_;  // penalize the abort, never kill the search
-      if (options_.faults) ++stats.search_aborts;
+      if (options_.faults) ++stats_.search_aborts;
     }
     if (options_.faults) {
-      stats.search_failures +=
+      stats_.search_failures +=
           rollout.fault_stats().failures - pre_rollout.failures;
-      stats.search_retries +=
+      stats_.search_retries +=
           rollout.fault_stats().retries - pre_rollout.retries;
     }
-    ++stats.rollouts;
+    ++stats_.rollouts;
   }
 
   // --- Backpropagation (max + mean, §III-C). ---
@@ -361,7 +342,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget, Rng& rng,
       ++stats_.deadline_cutoffs;
       break;
     }
-    search_once(tree, *guide_, rng, exploration_c, stats_);
+    search_once(tree, rng, exploration_c);
     ran_any = true;
   }
   return best_root_child(tree);
@@ -716,128 +697,6 @@ bool MctsScheduler::ensure_parallel_workers() {
   return true;
 }
 
-std::optional<int> MctsScheduler::decide_parallel(
-    const SchedulingEnv& env,
-    const std::vector<std::pair<int, double>>& untried, std::int64_t budget,
-    std::int64_t decision_depth, double exploration_c,
-    const Deadline& deadline) {
-  const auto workers = static_cast<std::int64_t>(worker_guides_.size());
-
-  // Batched expansion: prepare the root's children ONCE on this thread
-  // (one fused network forward for all of them) and hand every worker a
-  // copy — instead of each worker re-stepping and re-scoring the same k
-  // children with k single-row forwards.
-  std::vector<PreparedChild> prepared_template;
-  bool use_prepared = false;
-  if (options_.batch_expansion && guide_->supports_batch_eval()) {
-    prepared_template = prepare_children(env, untried, *guide_, stats_);
-    use_prepared = true;
-  }
-  struct WorkerResult {
-    std::vector<RootActionStat> children;
-    Stats stats;
-    bool truncated = false;
-  };
-  std::vector<WorkerResult> results(static_cast<std::size_t>(workers));
-
-  pool_->parallel_for(
-      static_cast<std::size_t>(workers), [&](std::size_t w) {
-        const auto wi = static_cast<std::int64_t>(w);
-        // Equal split, the first (budget % workers) workers taking the
-        // remainder — every worker's share is fixed by (budget, N) alone.
-        const std::int64_t share =
-            budget / workers + (wi < budget % workers ? 1 : 0);
-        if (share <= 0) return;
-        obs::ScopedTimer worker_span("mcts.worker", "mcts");
-        if (worker_span.active()) {
-          worker_span.set_args("\"worker\":" + std::to_string(w) +
-                               ",\"decision\":" +
-                               std::to_string(decision_depth) +
-                               ",\"share\":" + std::to_string(share));
-        }
-        DecisionPolicy& guide = *worker_guides_[w];
-        Rng rng(worker_stream_seed(
-            options_.seed, static_cast<std::uint64_t>(decision_depth), w));
-        WorkerResult& out = results[w];
-        // The root ordering is shared (computed once by the caller) rather
-        // than recomputed per worker — one network forward saved per
-        // worker for guided search, bit-identical ordering either way.
-        SearchTree tree(env);
-        {
-          SearchNode& root = tree.node(tree.root());
-          root.untried = untried;
-          if (use_prepared) {
-            root.prepared = prepared_template;  // private per-worker copy
-            root.prepared_ready = true;
-          }
-        }
-        for (std::int64_t i = 0; i < share; ++i) {
-          if (deadline_reached(deadline)) {
-            out.truncated = true;
-            break;
-          }
-          search_once(tree, guide, rng, exploration_c, out.stats);
-        }
-        const SearchNode& root = tree.node(tree.root());
-        out.children.reserve(root.children.size());
-        for (NodeId child_id : root.children) {
-          const SearchNode& child = tree.node(child_id);
-          out.children.push_back({child.action_from_parent, child.visits,
-                                  child.max_value, child.sum_value});
-        }
-      });
-
-  // Merge root statistics in worker order — deterministic for a fixed
-  // thread count no matter how the OS interleaved the workers.  Every
-  // per-worker counter is folded in here; a worker-side Stats field that
-  // this loop missed would silently drop telemetry at num_threads > 1
-  // (the pre-observability bug), so the parity test pins the invariants.
-  std::vector<RootActionStat> merged;
-  bool truncated = false;
-  for (const WorkerResult& result : results) {
-    stats_.iterations += result.stats.iterations;
-    stats_.rollouts += result.stats.rollouts;
-    stats_.nodes_expanded += result.stats.nodes_expanded;
-    stats_.env_copies += result.stats.env_copies;
-    stats_.search_failures += result.stats.search_failures;
-    stats_.search_retries += result.stats.search_retries;
-    stats_.search_aborts += result.stats.search_aborts;
-    stats_.batched_evals += result.stats.batched_evals;
-    stats_.batched_rows += result.stats.batched_rows;
-    truncated = truncated || result.truncated;
-    for (const RootActionStat& child : result.children) {
-      auto it = std::find_if(
-          merged.begin(), merged.end(),
-          [&](const RootActionStat& m) { return m.action == child.action; });
-      if (it == merged.end()) {
-        merged.push_back(child);
-      } else {
-        it->visits += child.visits;
-        it->sum_value += child.sum_value;
-        it->max_value = std::max(it->max_value, child.max_value);
-      }
-    }
-  }
-  if (truncated) ++stats_.deadline_cutoffs;  // once per truncated decision
-  if (merged.empty()) return std::nullopt;
-
-  // Same final-move rule as the serial search, on the merged statistics.
-  const RootActionStat* best = nullptr;
-  double best_exploit = -std::numeric_limits<double>::infinity();
-  double best_mean = -std::numeric_limits<double>::infinity();
-  for (const RootActionStat& child : merged) {
-    const double exploit =
-        options_.max_backprop ? child.max_value : child.mean_value();
-    if (exploit > best_exploit ||
-        (exploit == best_exploit && child.mean_value() > best_mean)) {
-      best_exploit = exploit;
-      best_mean = child.mean_value();
-      best = &child;
-    }
-  }
-  return best->action;
-}
-
 Schedule MctsScheduler::schedule(const Dag& dag,
                                  const ResourceVector& capacity) {
   EnvOptions env_options;
@@ -884,14 +743,12 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       options_.exploration_scale *
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
-  // Leaf parallelism replaces the root-parallel split whenever selected —
-  // even at num_threads == 1, where the shared-evaluator batching (not
-  // thread scaling) is the win.  Both modes need cloneable guides; an
-  // uncloneable custom guide falls back to the serial search.
+  // Leaf search runs whenever selected — even at num_threads == 1, where
+  // the shared-evaluator batching (not thread scaling) is the win.  It
+  // needs cloneable guides; an uncloneable custom guide falls back to the
+  // serial search.
   const bool leaf_mode =
       options_.search_mode == SearchMode::kLeaf && ensure_parallel_workers();
-  const bool parallel =
-      !leaf_mode && options_.num_threads > 1 && ensure_parallel_workers();
   if (leaf_mode) {
     if (!transpositions_ ||
         transpositions_->capacity() != options_.transposition_capacity) {
@@ -901,29 +758,36 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     // Keys do not encode the DAG identity: never reuse entries across
     // schedule() calls.
     transpositions_->clear();
-    // Arm the workers' rollout action caches (greedy guides only — the
-    // calls are no-ops for sampling or cache-less guides).  Re-arming drops
-    // stale entries and zeroes the hit/miss tallies.  At num_threads > 1
-    // the workers share ONE cache: private per-worker caches miss
-    // independently on the same rollout states, so total forwards GREW
-    // with the worker count (the multi-thread throughput regression); hits
-    // stay bit-identical either way (greedy picks are pure functions of
-    // the state), only the hit/miss split becomes timing-dependent.
-    if (worker_guides_.size() > 1 && options_.transposition_capacity > 0) {
-      if (!shared_rollout_cache_ || shared_rollout_cache_->capacity() !=
-                                        options_.transposition_capacity) {
-        shared_rollout_cache_ = std::make_shared<SharedActionCache>(
-            options_.transposition_capacity);
-      }
-      shared_rollout_cache_->clear();
-      for (const auto& g : worker_guides_) {
-        g->share_rollout_cache(shared_rollout_cache_);
-      }
-    } else {
-      shared_rollout_cache_.reset();
-      for (const auto& g : worker_guides_) {
-        g->enable_rollout_cache(options_.transposition_capacity);
-      }
+  }
+  // The guides that run this search's rollouts: every leaf worker's, or
+  // the serial search's own.
+  std::vector<DecisionPolicy*> rollout_guides;
+  if (leaf_mode) {
+    for (const auto& g : worker_guides_) rollout_guides.push_back(g.get());
+  } else {
+    rollout_guides.push_back(guide_.get());
+  }
+  // Arm their rollout action caches (greedy guides only — the calls are
+  // no-ops for sampling or cache-less guides).  Re-arming drops stale
+  // entries and zeroes the hit/miss tallies.  Several leaf workers share
+  // ONE cache: private per-worker caches miss independently on the same
+  // rollout states, so total forwards GREW with the worker count; hits
+  // stay bit-identical either way (greedy picks are pure functions of the
+  // state), only the hit/miss split becomes timing-dependent.
+  if (rollout_guides.size() > 1 && options_.transposition_capacity > 0) {
+    if (!shared_rollout_cache_ || shared_rollout_cache_->capacity() !=
+                                      options_.transposition_capacity) {
+      shared_rollout_cache_ = std::make_shared<SharedActionCache>(
+          options_.transposition_capacity);
+    }
+    shared_rollout_cache_->clear();
+    for (DecisionPolicy* g : rollout_guides) {
+      g->share_rollout_cache(shared_rollout_cache_);
+    }
+  } else {
+    shared_rollout_cache_.reset();
+    for (DecisionPolicy* g : rollout_guides) {
+      g->enable_rollout_cache(options_.transposition_capacity);
     }
   }
   // Zero every guide's physical-forward tallies so the end-of-schedule fold
@@ -945,28 +809,26 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     }
     return deadline;
   };
-  // Real-trajectory fault counters come from the ONE persistent env that
-  // both the serial and the parallel path step; the speculative per-worker
-  // counters (search_failures/search_retries/search_aborts) are aggregated
-  // by the decide_parallel merge (serial search_once adds them directly).
+  // Real-trajectory fault counters come from the ONE persistent env the
+  // search steps; the speculative counters (search_failures/
+  // search_retries/search_aborts) are added as the search runs.
   const auto record_fault_stats = [this, &env]() {
     if (!options_.faults) return;
     stats_.task_failures = env.fault_stats().failures;
     stats_.task_retries = env.fault_stats().retries;
   };
-  // Worker rollout-cache tallies are folded ONCE per schedule() (each
-  // worker accumulates across every decision); the per-worker sums are
-  // deterministic for a fixed seed and worker count.
-  const auto fold_rollout_cache_stats = [this, leaf_mode]() {
-    if (!leaf_mode) return;
-    for (const auto& g : worker_guides_) {
+  // Rollout-cache tallies are folded ONCE per schedule() (each guide
+  // accumulates across every decision); the sums are deterministic for a
+  // fixed seed and worker count.
+  const auto fold_rollout_cache_stats = [this, &rollout_guides]() {
+    for (const DecisionPolicy* g : rollout_guides) {
       stats_.rollout_cache_hits += g->rollout_cache_hits();
       stats_.rollout_cache_misses += g->rollout_cache_misses();
     }
   };
   // Physical forward telemetry: folded from EVERY guide that may have run
-  // a private-weights kernel this schedule (the root guide plus the
-  // parallel/leaf worker clones).  Counters were reset before the search
+  // a private-weights kernel this schedule (the root guide plus the leaf
+  // worker clones).  Counters were reset before the search
   // loop, so the fold is this schedule's tally exactly once.
   const auto fold_forward_stats = [this]() {
     const auto fold_one = [this](const DecisionPolicy& g) {
@@ -1019,51 +881,6 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   try {
     while (!env.done()) {
       const Deadline deadline = make_deadline();
-      if (parallel) {
-        const auto untried = guide_->action_weights(env);
-        if (untried.empty()) {
-          throw std::logic_error(
-              "MctsScheduler: no valid action at decision root");
-        }
-        if (untried.size() == 1) {
-          // Forced move: skip the search entirely.
-          apply_action(env, untried.front().first);
-          ++stats_.forced_decisions;
-        } else {
-          const std::int64_t budget =
-              options_.decay_budget
-                  ? std::max(options_.initial_budget / depth,
-                             options_.min_budget)
-                  : options_.initial_budget;
-          obs::ScopedTimer decision_span("mcts.decision", "mcts");
-          if (decision_span.active()) {
-            decision_span.set_args(
-                "\"depth\":" + std::to_string(depth) + ",\"budget\":" +
-                std::to_string(budget) + ",\"parallel\":true");
-          }
-          const auto start = std::chrono::steady_clock::now();
-          const std::optional<int> action = decide_parallel(
-              env, untried, budget, depth, exploration_c, deadline);
-          stats_.search_seconds += seconds_since(start);
-          decision_span.finish();
-          if (action) {
-            apply_action(env, *action);
-          } else if (deadline) {
-            // Anytime degradation: not one iteration finished anywhere
-            // before the deadline — take the fallback heuristic's move.
-            ++stats_.degradations;
-            apply_action(env, options_.fallback->pick(env, rng));
-          } else {
-            // Budget below the worker count: fall back to the guide's top
-            // choice, like the serial search.
-            apply_action(env, untried.front().first);
-          }
-        }
-        ++stats_.decisions;
-        ++depth;
-        continue;
-      }
-
       if (!tree) tree.emplace(make_tree(env, *guide_));
 
       const SearchNode& root = tree->node(tree->root());
@@ -1077,7 +894,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         continue;
       }
 
-      // Batched root preparation is a root-mode optimization: the leaf
+      // Batched root preparation is a serial-search optimization: the leaf
       // descent pops `untried` without popping `prepared` in lockstep, and
       // its evaluator batches child scoring anyway.
       if (!leaf_mode) maybe_prepare_root(*tree);
@@ -1091,7 +908,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         decision_span.set_args(
             "\"depth\":" + std::to_string(depth) + ",\"budget\":" +
             std::to_string(budget) +
-            (leaf_mode ? ",\"mode\":\"leaf\"" : ",\"parallel\":false"));
+            (leaf_mode ? ",\"mode\":\"leaf\"" : ",\"mode\":\"serial\""));
       }
       const auto start = std::chrono::steady_clock::now();
       bool ran_any = false;

@@ -22,14 +22,14 @@
 // A fresh tree is built for every decision; the chosen action is applied to
 // the persistent environment and search repeats until the DAG completes.
 //
-// Root parallelism (num_threads > 1): every decision's budget is split
-// across N workers on a reusable ThreadPool.  Each worker grows its own
-// SearchTree from the decision state with an independent deterministic RNG
-// stream derived from (seed, decision depth, worker id), then the root
-// children's statistics (visit counts, max values, value sums) are merged
-// by action and the usual final-move rule picks the action.  Results are
-// deterministic for a fixed thread count regardless of OS scheduling;
-// num_threads == 1 follows the original serial code path bit for bit.
+// Two search paths share the tree, the UCB rule and the final-move rule:
+// the serial search (SearchMode::kRoot, the paper path: one tree, one
+// thread, one RNG stream) and the leaf-parallel search (SearchMode::kLeaf,
+// DESIGN.md §11: one shared tree, batched central evaluation, 1..N worker
+// threads, results independent of the worker count).  num_threads > 1
+// runs only in leaf mode.  Both arm the same greedy rollout cache
+// (SharedActionCache), whose hits are bit-identical to the forwards they
+// skip.
 
 // Anytime search (time_budget_ms > 0): every decision races a wall-clock
 // deadline.  When the deadline expires mid-decision the best root action
@@ -66,10 +66,10 @@
 
 namespace spear {
 
-/// How a multi-threaded search (num_threads > 1) parallelizes.
+/// Which search path runs.
 enum class SearchMode {
-  /// Root parallelism (PR-1 style): every worker grows its own tree from
-  /// the decision state; root-child statistics merge at the end.
+  /// The serial search: one tree grown iteration by iteration on one
+  /// thread (the paper path).  The name is kept for existing callers.
   kRoot,
   /// Leaf parallelism (DESIGN.md §11): one shared tree, descents hold
   /// virtual loss, leaf states park in an evaluation queue that a central
@@ -87,11 +87,10 @@ struct MctsOptions {
   std::uint64_t seed = 42;
   /// Display name ("MCTS" for the pure variant, "Spear" when DRL-guided).
   std::string name = "MCTS";
-  /// Root-parallel search workers.  1 (default) = the serial search,
-  /// bit-identical to the original implementation; N > 1 splits every
-  /// decision budget over N workers with independent RNG streams and merges
-  /// root statistics.  Requires the guide policy to be clone()-able
-  /// (all built-in policies are); otherwise the search stays serial.
+  /// Search worker threads.  1 (default) for either search mode; N > 1
+  /// needs search_mode kLeaf (the constructor rejects it otherwise) and a
+  /// clone()-able guide (all built-in policies are; otherwise the search
+  /// stays serial).
   int num_threads = 1;
 
   /// Anytime wall-clock budget per decision, in milliseconds; 0 (default) =
@@ -130,15 +129,15 @@ struct MctsOptions {
   /// (§III-C: "the selected action will point to a child node which will
   /// become the new root node").  Off by default: with the decayed budget
   /// the benefit is small and a fresh tree keeps memory flat; turn on to
-  /// match the paper's mechanism exactly.  Serial-only: root-parallel mode
-  /// rebuilds per-worker trees each decision (leaf mode has its own knob,
-  /// leaf_tree_reuse below).
+  /// match the paper's mechanism exactly.  Serial search only (leaf mode
+  /// has its own knob, leaf_tree_reuse below).
   bool reuse_tree = false;
 
   // --- Leaf-parallel search (search_mode == kLeaf; DESIGN.md §11). ---
-  /// Parallelization architecture.  kLeaf runs even at num_threads == 1
-  /// (batched evaluation is a win on its own); it requires a cloneable
-  /// guide, like kRoot, and otherwise the search stays serial.
+  /// Search path: kRoot = the serial search, kLeaf = leaf-parallel.  kLeaf
+  /// runs even at num_threads == 1 (batched evaluation is a win on its
+  /// own); it requires a cloneable guide, and otherwise the search stays
+  /// serial.
   SearchMode search_mode = SearchMode::kRoot;
   /// Descents held in flight per evaluator tick (split across the workers;
   /// each tick is one descend -> evaluate -> backup round).  Deliberately
@@ -148,9 +147,10 @@ struct MctsOptions {
   /// but hold more virtual loss concurrently; ticks never exceed the
   /// decision's remaining budget.
   int leaf_batch_size = 32;
-  /// Max entries in the leaf-mode transposition cache; 0 disables it.
-  /// Cached priors are bitwise-identical to fresh evaluations, so this is
-  /// purely a throughput knob.
+  /// Max entries in the leaf-mode transposition cache and in the greedy
+  /// rollout cache of either mode; 0 disables both.  Cached priors and
+  /// actions are bitwise-identical to fresh evaluations, so this is purely
+  /// a throughput knob.
   std::size_t transposition_capacity = 8192;
   /// Leaf mode reuses the chosen subtree across decisions by default
   /// (SearchTree::reroot) — the shared tree makes reuse natural and it
@@ -181,12 +181,11 @@ class MctsScheduler : public Scheduler {
   /// (preloaded tasks appear as placements at t = 0).
   Schedule schedule_env(SchedulingEnv env);
 
-  /// Search telemetry for the most recent schedule() call.  Counters are
-  /// summed across all parallel workers (each worker accumulates a private
-  /// Stats that the merge step folds in, so nothing is dropped or
-  /// double-counted at num_threads > 1); wall time is measured around the
-  /// per-decision search only (tree setup + iterations + merge), not around
-  /// policy training or environment stepping outside the search.
+  /// Search telemetry for the most recent schedule() call.  Leaf workers'
+  /// per-slot counters are folded in slot order, so totals do not depend
+  /// on the worker count; wall time is measured around the per-decision
+  /// search only (tree setup + iterations), not around policy training or
+  /// environment stepping outside the search.
   struct Stats {
     std::int64_t decisions = 0;       ///< scheduling decisions made
     std::int64_t forced_decisions = 0;  ///< decisions with one legal action
@@ -204,14 +203,14 @@ class MctsScheduler : public Scheduler {
                                       ///< trajectory (fault mode)
     std::int64_t task_retries = 0;    ///< retries on the real trajectory
     // Fault events observed INSIDE the search (expansion steps + rollouts),
-    // summed across workers in parallel mode — the speculative counterpart
-    // of task_failures/task_retries above.
+    // summed across leaf workers — the speculative counterpart of
+    // task_failures/task_retries above.
     std::int64_t search_failures = 0;  ///< failed attempts in search states
     std::int64_t search_retries = 0;   ///< retries in search states
     std::int64_t search_aborts = 0;    ///< simulated trajectories that
                                        ///< exhausted the retry budget
-    // Batched-evaluation telemetry: root mode counts the fused forwards of
-    // batched child preparation (options.batch_expansion with a
+    // Batched-evaluation telemetry: the serial search counts the fused
+    // forwards of batched child preparation (options.batch_expansion with a
     // batch-capable guide); leaf mode counts the central evaluator's queue
     // drains.  Zero otherwise.
     std::int64_t batched_evals = 0;  ///< fused batch forwards issued
@@ -221,7 +220,7 @@ class MctsScheduler : public Scheduler {
     // Physical forward telemetry, folded from the guides once per
     // schedule(): every PRIVATE-weights kernel invocation the guide
     // policies executed (batched evaluations AND single-row calls — root
-    // priors, serial rollout picks), with its row count.  This is the
+    // priors, serial rollout misses), with its row count.  This is the
     // denominator batch occupancy is measured against; batched_evals above
     // only counts the fused calls.  In shared-inference mode guides
     // forward through the InferenceService instead and these stay ZERO —
@@ -244,10 +243,10 @@ class MctsScheduler : public Scheduler {
                                         ///< already holding virtual loss
                                         ///< (another descent in flight)
     std::int64_t rollout_cache_hits = 0;    ///< greedy rollout steps served
-                                            ///< from the workers' action
-                                            ///< caches (no forward)
-    std::int64_t rollout_cache_misses = 0;  ///< rollout steps that paid the
-                                            ///< batched forward
+                                            ///< from the rollout cache (no
+                                            ///< forward), either mode
+    std::int64_t rollout_cache_misses = 0;  ///< rollout steps that paid a
+                                            ///< forward
 
     double seconds_per_decision() const {
       return decisions > 0 ? search_seconds / static_cast<double>(decisions)
@@ -259,8 +258,7 @@ class MctsScheduler : public Scheduler {
                  : 0.0;
     }
     /// Decisions that actually ran a search (every one of these consumes
-    /// exactly its budget's iterations when no deadline truncates it, in
-    /// both the serial and the root-parallel mode).
+    /// exactly its budget's iterations when no deadline truncates it).
     std::int64_t searched_decisions() const {
       return decisions - forced_decisions;
     }
@@ -315,8 +313,9 @@ class MctsScheduler : public Scheduler {
     return deadline && std::chrono::steady_clock::now() >= *deadline;
   }
 
-  double search_once(SearchTree& tree, DecisionPolicy& guide, Rng& rng,
-                     double exploration_c, Stats& stats);
+  /// One serial iteration (select, expand, roll out, back up) with guide_,
+  /// counted into stats_.
+  double search_once(SearchTree& tree, Rng& rng, double exploration_c);
   /// Runs up to `budget` iterations on `tree` (stopping at `deadline` if
   /// set) and returns the chosen root child (kNoNode if nothing was ever
   /// expanded — callers fall back).  `ran_any` reports whether at least one
@@ -324,18 +323,6 @@ class MctsScheduler : public Scheduler {
   NodeId decide(SearchTree& tree, std::int64_t budget, Rng& rng,
                 double exploration_c, const Deadline& deadline,
                 bool& ran_any);
-  /// Root-parallel decision from `env`: splits `budget` over the worker
-  /// pool, merges root-child statistics, returns the chosen env action
-  /// (nullopt if no worker expanded a child).  `untried` is the root's
-  /// guide ordering, computed ONCE by the caller and shared by every
-  /// worker (hoisting the per-worker root evaluation — all built-in guides
-  /// are deterministic, so the shared ordering is what each worker would
-  /// have computed itself).
-  std::optional<int> decide_parallel(
-      const SchedulingEnv& env,
-      const std::vector<std::pair<int, double>>& untried, std::int64_t budget,
-      std::int64_t decision_depth, double exploration_c,
-      const Deadline& deadline);
   /// Leaf-parallel decision (search_mode == kLeaf; DESIGN.md §11): runs up
   /// to `budget` iterations on the SHARED `tree` in synchronized ticks —
   /// descend with virtual loss, construct children and advance rollouts on
@@ -355,8 +342,9 @@ class MctsScheduler : public Scheduler {
   /// batch-capable guide): one fused guide evaluation scores every
   /// candidate child, stored in root.prepared for expansion to pop.
   void maybe_prepare_root(SearchTree& tree);
-  /// Lazily builds the thread pool and per-worker guide clones; false if
-  /// the guide is not cloneable (parallel search disabled).
+  /// Lazily builds the leaf workers' guide clones and, at >1 workers, the
+  /// thread pool; false if the guide is not cloneable (the search then
+  /// stays serial).
   bool ensure_parallel_workers();
 
   MctsOptions options_;
@@ -367,9 +355,10 @@ class MctsScheduler : public Scheduler {
   /// Leaf-mode prior cache, reset per schedule() call (its keys do not
   /// encode the DAG identity); null outside leaf mode.
   std::unique_ptr<TranspositionCache> transpositions_;
-  /// Leaf-mode rollout action cache shared across ALL worker guides at
+  /// Rollout action cache shared across ALL leaf worker guides at
   /// num_threads > 1 (per-worker private caches fragment — the multi-thread
   /// throughput regression); reset per schedule() call like transpositions_.
+  /// Null otherwise: one guide arms its own private cache.
   std::shared_ptr<SharedActionCache> shared_rollout_cache_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.

@@ -298,6 +298,13 @@ std::shared_ptr<DecisionPolicy> DrlDecisionPolicy::clone() const {
 }
 
 int DrlDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
+  if (rollout_cache_) {
+    const SchedulingEnv* envp = &env;
+    Rng* rngp = &rng;
+    int action = 0;
+    pick_batch(&envp, 1, &rngp, &action);
+    return action;
+  }
   if (shared_) {
     // Same resolution as greedy_output / sample_output, fed by the shared
     // batcher: argmax is the first maximum, sampling draws once from this
@@ -322,51 +329,36 @@ int DrlDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
 }
 
 void DrlDecisionPolicy::enable_rollout_cache(std::size_t capacity) {
-  rollout_cache_hits_ = 0;
-  rollout_cache_misses_ = 0;
-  shared_rollout_cache_.reset();
-  if (capacity == 0 || !greedy_) {
-    rollout_cache_.reset();
-    return;
-  }
-  rollout_cache_ = std::make_unique<ActionCache>(capacity);
+  share_rollout_cache(capacity > 0 && greedy_
+                          ? std::make_shared<SharedActionCache>(
+                                capacity, /*shards=*/1)
+                          : nullptr);
 }
 
 void DrlDecisionPolicy::share_rollout_cache(
     std::shared_ptr<SharedActionCache> cache) {
   rollout_cache_hits_ = 0;
   rollout_cache_misses_ = 0;
-  rollout_cache_.reset();
-  if (!greedy_) return;  // sampling rollouts never cache (RNG stream shift)
-  shared_rollout_cache_ = std::move(cache);
+  // Sampling rollouts never cache (a skipped draw shifts the RNG stream).
+  rollout_cache_ = greedy_ ? std::move(cache) : nullptr;
 }
 
 void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
                                    std::size_t n, Rng* const* rngs, int* out) {
   if (n == 0) return;
-  if (rollout_cache_ || shared_rollout_cache_) {
-    // Greedy mode with a cache armed (private per-worker, or one shared
-    // across all workers): probe every row's canonical key and forward only
-    // the misses.  A hit is bit-identical to a fresh argmax (the cached
-    // action WAS a fresh argmax of the same state), and greedy rows consume
-    // no RNG, so skipping the forward shifts nothing.
+  if (rollout_cache_) {
+    // Greedy mode with a cache armed (private, or one shared across all
+    // leaf workers): probe every row's canonical key and forward only the
+    // misses.  A hit is bit-identical to a fresh argmax (the cached action
+    // WAS a fresh argmax of the same state), and greedy rows consume no
+    // RNG, so skipping the forward shifts nothing.
     miss_keys_.clear();
     miss_envs_.clear();
     miss_rows_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       key_buf_.clear();
       envs[i]->append_canonical_key(key_buf_);
-      int cached = 0;
-      const bool hit =
-          rollout_cache_
-              ? [&] {
-                  const int* action = rollout_cache_->find(key_buf_);
-                  if (action) cached = *action;
-                  return action != nullptr;
-                }()
-              : shared_rollout_cache_->find(key_buf_, &cached);
-      if (hit) {
-        out[i] = cached;
+      if (rollout_cache_->find(key_buf_, &out[i])) {
         ++rollout_cache_hits_;
       } else {
         miss_keys_.push_back(key_buf_);
@@ -384,11 +376,7 @@ void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
           std::max_element(probs.begin(), probs.end()) - probs.begin());
       const int action = policy_->to_env_action(output);
       out[miss_rows_[j]] = action;
-      if (rollout_cache_) {
-        rollout_cache_->insert(miss_keys_[j], action);
-      } else {
-        shared_rollout_cache_->insert(miss_keys_[j], action);
-      }
+      rollout_cache_->insert(miss_keys_[j], action);
     }
     return;
   }

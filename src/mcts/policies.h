@@ -72,19 +72,20 @@ class DecisionPolicy {
   /// MCTS then falls back to the serial search path.
   virtual std::shared_ptr<DecisionPolicy> clone() const { return nullptr; }
 
-  /// Arms (capacity > 0) or disarms (capacity == 0) a canonical-state ->
-  /// action cache for deterministic pick_batch rows, dropping any cached
-  /// entries and zeroing the hit/miss counters.  The leaf-parallel search
-  /// calls this per schedule() on every worker guide (keys do not encode
-  /// the DAG identity, so entries must never cross schedules).  Default:
-  /// no-op — only guides whose picks are pure functions of the state can
-  /// cache them.
+  /// Arms (capacity > 0) or disarms (capacity == 0) a private
+  /// canonical-state -> action cache for deterministic picks (pick and
+  /// pick_batch), dropping any cached entries and zeroing the hit/miss
+  /// counters.  MCTS calls this per schedule() on every guide that runs
+  /// rollouts — the serial search's guide or each leaf worker's (keys do
+  /// not encode the DAG identity, so entries must never cross schedules).
+  /// Default: no-op — only guides whose picks are pure functions of the
+  /// state can cache them.
   virtual void enable_rollout_cache(std::size_t capacity) { (void)capacity; }
   virtual std::int64_t rollout_cache_hits() const { return 0; }
   virtual std::int64_t rollout_cache_misses() const { return 0; }
 
-  /// Points the guide's deterministic pick_batch rows at a rollout action
-  /// cache SHARED with other workers' guides (leaf-parallel search at >1
+  /// Points the guide's deterministic picks at a rollout action cache
+  /// SHARED with other workers' guides (leaf-parallel search at >1
   /// workers), replacing any private cache and zeroing the hit/miss
   /// counters.  Hits stay bit-identical (the cached action is a pure
   /// function of the state) but the hit/miss split becomes
@@ -163,6 +164,8 @@ class DrlDecisionPolicy : public DecisionPolicy {
 
   std::vector<std::pair<int, double>> action_weights(
       const SchedulingEnv& env) override;
+  /// With the rollout cache armed (greedy only) this is a one-row
+  /// pick_batch, so the serial search's rollout steps probe the cache too.
   int pick(const SchedulingEnv& env, Rng& rng) override;
   /// Fused rollout step: ONE batched forward scores all `n` states, then
   /// each row resolves exactly as pick() would (greedy argmax or a
@@ -175,7 +178,8 @@ class DrlDecisionPolicy : public DecisionPolicy {
 
   /// Greedy picks are deterministic and consume no RNG, so they are safe to
   /// cache; in sampling mode the cache stays disarmed (a skipped draw would
-  /// shift the rollout's RNG stream) and the counters stay zero.
+  /// shift the rollout's RNG stream) and the counters stay zero.  The
+  /// private cache is a one-shard SharedActionCache.
   void enable_rollout_cache(std::size_t capacity) override;
   /// Greedy mode only (sampling guides stay cold, as with the private
   /// cache); replaces the private cache until the next enable/share call.
@@ -236,19 +240,18 @@ class DrlDecisionPolicy : public DecisionPolicy {
   std::vector<double> probs_buf_;
   std::vector<std::vector<bool>> batch_masks_;
   std::vector<std::vector<double>> batch_probs_;
-  /// Rollout cache (greedy mode only; see enable_rollout_cache) plus the
-  /// pick_batch probe scratch and hit/miss tallies.  At most one of the
-  /// private/shared caches is armed at a time.
-  std::unique_ptr<ActionCache> rollout_cache_;
-  std::shared_ptr<SharedActionCache> shared_rollout_cache_;
+  /// Rollout cache (greedy mode only; private or shared, see
+  /// enable_rollout_cache / share_rollout_cache) plus the pick_batch probe
+  /// scratch and hit/miss tallies.  Null = disarmed.
+  std::shared_ptr<SharedActionCache> rollout_cache_;
   std::int64_t rollout_cache_hits_ = 0;
   std::int64_t rollout_cache_misses_ = 0;
   /// Private-weights physical forward tallies (see DecisionPolicy docs).
   std::int64_t forward_calls_ = 0;
   std::int64_t forward_rows_ = 0;
   std::vector<std::int64_t> forward_hist_;
-  ActionCache::Key key_buf_;
-  std::vector<ActionCache::Key> miss_keys_;
+  SharedActionCache::Key key_buf_;
+  std::vector<SharedActionCache::Key> miss_keys_;
   std::vector<const SchedulingEnv*> miss_envs_;
   std::vector<std::size_t> miss_rows_;
 };

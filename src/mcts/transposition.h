@@ -78,8 +78,8 @@ class TranspositionCache {
   std::deque<Key> order_;
 };
 
-/// Canonical-state -> greedy-rollout-action cache for the leaf evaluator's
-/// batched rollout steps.
+/// Canonical-state -> greedy-rollout-action cache: the one rollout cache of
+/// both search modes (DESIGN.md §11/§15).
 ///
 /// Greedy rollouts are pure functions of the state: the same canonical key
 /// always resolves to the same argmax action, so repeated rollout states
@@ -87,61 +87,22 @@ class TranspositionCache {
 /// common case, not the exception — expanding a node's highest-prior child
 /// replays the parent's greedy rollout state for state (guided expansion
 /// pops actions in prior order, and the greedy rollout took exactly the
-/// top-prior action), and every descent that parks on an already-covered
-/// node re-walks a cached suffix.  Never consulted for sampling rollouts:
-/// a sampled step consumes RNG, so skipping the draw would shift every
-/// later draw in that rollout's stream.
+/// top-prior action), and every iteration that starts below an
+/// already-covered node re-walks a cached suffix.  Never consulted for
+/// sampling rollouts: a sampled step consumes RNG, so skipping the draw
+/// would shift every later draw in that rollout's stream.
 ///
-/// Same key scheme, full-key compare, FIFO eviction, and 0-disables
-/// contract as TranspositionCache; single-threaded by design (each search
-/// worker owns a private instance).
-class ActionCache {
- public:
-  using Key = TranspositionCache::Key;
-
-  explicit ActionCache(std::size_t capacity) : capacity_(capacity) {}
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
-
-  /// Cached env-level action for `key`, or nullptr on a miss.  The pointer
-  /// is valid until the next insert() (which may evict).
-  const int* find(const Key& key) const;
-
-  /// Inserts (evicting the oldest entry when full).  Duplicate keys keep
-  /// the existing entry.
-  void insert(const Key& key, int action);
-
-  void clear();
-
- private:
-  struct KeyHash {
-    std::uint64_t operator()(const Key& key) const {
-      return TranspositionCache::hash_key(key);
-    }
-  };
-
-  std::size_t capacity_;
-  std::unordered_map<Key, int, KeyHash> entries_;
-  /// Insertion order for FIFO eviction.
-  std::deque<Key> order_;
-};
-
-/// Concurrent greedy-rollout action cache shared by ALL leaf-search
-/// workers (DESIGN.md §11/§15).
-///
-/// Per-worker private ActionCaches fragment as workers are added: the same
-/// rollout state missed independently in every worker's cache, so total
-/// forwards GREW with the worker count (the multi-thread throughput
-/// regression BENCH_mcts_leaf_parallel.json recorded — misses roughly
-/// tripled from 1 to 8 workers).  One shared cache restores the
-/// single-worker miss rate: whichever worker evaluates a state first
-/// serves every other worker's later probe.
+/// The serial search and a one-worker leaf search each arm a private
+/// one-shard instance.  A leaf search at >1 workers shares ONE instance
+/// across all of its workers: private per-worker caches missed
+/// independently on the same rollout states, so total forwards GREW with
+/// the worker count (misses roughly tripled from 1 to 8 workers).
 ///
 /// Sharded: the key hash picks one of a power-of-two number of
-/// mutex-guarded shards, so concurrent probes rarely contend.  Within a
-/// shard the contract matches ActionCache (full-key compare, FIFO
-/// eviction per shard, duplicate inserts keep the first entry).
+/// mutex-guarded shards, so concurrent probes rarely contend; a one-shard
+/// cache skips that hash.  Within a shard: full-key compare, FIFO eviction
+/// under the shard's entry cap (deterministic, no access-time state), and
+/// duplicate inserts keep the first entry.
 ///
 /// Determinism: greedy picks are pure functions of the canonical state, so
 /// a hit is bit-identical to the forward it skipped — which worker
@@ -161,8 +122,8 @@ class SharedActionCache {
   std::size_t size() const;
 
   /// Looks up `key`; on a hit copies the action into *action and returns
-  /// true.  (By value, unlike ActionCache::find — the shard lock is
-  /// released before returning, so a pointer into the map would race.)
+  /// true.  (By value: the shard lock is released before returning, so a
+  /// pointer into the map would race.)
   bool find(const Key& key, int* action) const;
 
   /// Inserts (evicting the shard's oldest entry when the shard is full).
@@ -186,6 +147,7 @@ class SharedActionCache {
   };
 
   Shard& shard_for(const Key& key) const {
+    if (shard_mask_ == 0) return shards_[0];
     return shards_[TranspositionCache::hash_key(key) & shard_mask_];
   }
 

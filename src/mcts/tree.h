@@ -71,8 +71,7 @@ struct SearchNode {
   /// currently holding this node on their path.  Inflates the node's visit
   /// count during selection so concurrent descents spread over siblings,
   /// and is released when the descent's evaluation is backed up.  Always 0
-  /// outside a leaf-parallel tick, so the serial and root-parallel searches
-  /// never observe it.
+  /// outside a leaf-parallel tick, so the serial search never observes it.
   std::int32_t vloss = 0;
 
   explicit SearchNode(SchedulingEnv s) : state(std::move(s)) {}

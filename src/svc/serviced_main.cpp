@@ -145,7 +145,8 @@ int main(int argc, char** argv) {
   auto search_threads = flags.define_int(
       "search-threads", 1, "parallel search threads inside each worker");
   auto search_mode = flags.define_string(
-      "search-mode", "leaf", "parallel search architecture: root|leaf");
+      "search-mode", "leaf",
+      "search path: root (the serial search, one thread) or leaf");
   auto capacity_text = flags.define_string(
       "capacity", "1.0,1.0", "cluster capacity, comma-separated per resource");
   auto policy_path = flags.define_string(
@@ -230,6 +231,8 @@ int main(int argc, char** argv) {
     options.heuristic_floor_ms = *heuristic_floor_ms;
     options.search_threads = static_cast<int>(*search_threads);
     options.search_mode = parse_search_mode(*search_mode);
+    check_search_threads("search-threads", *search_threads,
+                         options.search_mode);
     if (*infer_mode == "private") {
       options.infer_mode = InferMode::kPrivate;
     } else if (*infer_mode == "shared") {

@@ -426,6 +426,20 @@ TEST(InferSharedActionCache, BoundedByCapacityWithFifoEviction) {
   }
   EXPECT_LE(cache.size(), 8u);
   EXPECT_GT(cache.size(), 0u);
+
+  // One shard (a guide's private rollout cache): eviction is exactly
+  // oldest-first across every key.
+  SharedActionCache single(2, 1);
+  single.insert({1}, 10);
+  single.insert({2}, 20);
+  single.insert({3}, 30);  // evicts key {1}
+  EXPECT_EQ(single.size(), 2u);
+  int action = -1;
+  EXPECT_FALSE(single.find({1}, &action));
+  ASSERT_TRUE(single.find({2}, &action));
+  EXPECT_EQ(action, 20);
+  ASSERT_TRUE(single.find({3}, &action));
+  EXPECT_EQ(action, 30);
 }
 
 TEST(InferSharedActionCache, ZeroCapacityDisables) {

@@ -59,6 +59,11 @@ TEST(Mcts, RejectsBadOptions) {
   options = {};
   options.exploration_scale = -0.5;
   EXPECT_THROW(MctsScheduler{options}, std::invalid_argument);
+  // More than one thread runs only in leaf search.
+  options = {};
+  options.search_mode = SearchMode::kRoot;
+  options.num_threads = 2;
+  EXPECT_THROW(MctsScheduler{options}, std::invalid_argument);
 }
 
 TEST(Mcts, SingleTaskIsTrivial) {
@@ -229,6 +234,14 @@ TEST(Mcts, FlatBudgetAblationUsesMoreIterations) {
 
   EXPECT_GT(without_decay.last_stats().iterations,
             with_decay.last_stats().iterations);
+  // With a flat budget and no deadline every searched decision runs its
+  // whole budget; terminal and aborted leaves skip their rollout.
+  const auto& stats = without_decay.last_stats();
+  ASSERT_GT(stats.searched_decisions(), 0);
+  EXPECT_EQ(stats.iterations, stats.searched_decisions() * 60);
+  EXPECT_GT(stats.rollouts, 0);
+  EXPECT_LE(stats.rollouts, stats.iterations);
+  EXPECT_LE(stats.nodes_expanded, stats.iterations);
 }
 
 TEST(Mcts, TreeReuseProducesValidSchedules) {
@@ -383,78 +396,6 @@ TEST(Mcts, RejectsNonPositiveThreadCount) {
   EXPECT_THROW(MctsScheduler{options}, std::invalid_argument);
 }
 
-TEST(Mcts, ParallelPacksIndependentTasksOptimally) {
-  MctsOptions options;
-  options.initial_budget = 50;
-  options.min_budget = 10;
-  options.num_threads = 4;
-  MctsScheduler mcts(options);
-  Dag dag = testing::make_independent(4, 5, ResourceVector{0.5, 0.5});
-  EXPECT_EQ(validated_makespan(mcts, dag, cap()), 10);
-}
-
-TEST(Mcts, ParallelMatchesSerialOptimaOnSmallInstances) {
-  // Makespan parity: on brute-force-verified instances, the root-parallel
-  // search must find the same optimum the serial search finds.
-  DagGeneratorOptions gen;
-  gen.num_tasks = 6;
-  gen.max_width = 3;
-  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    Rng rng(seed);
-    Dag dag = generate_random_dag(gen, rng);
-    const auto optimal = testing::optimal_makespan(dag, cap());
-    ASSERT_TRUE(optimal.has_value());
-
-    MctsOptions options;
-    options.initial_budget = 300;
-    options.min_budget = 100;
-    options.seed = seed;
-    options.num_threads = 4;
-    MctsScheduler mcts(options);
-    EXPECT_EQ(validated_makespan(mcts, dag, cap()), *optimal)
-        << "seed " << seed;
-  }
-}
-
-TEST(Mcts, ParallelDeterministicAtFixedThreadCount) {
-  // Worker RNG streams depend only on (seed, decision, worker id) and the
-  // merge is order-independent of OS scheduling, so repeated runs with the
-  // same thread count must agree exactly.
-  DagGeneratorOptions gen;
-  gen.num_tasks = 15;
-  Rng rng(3);
-  Dag dag = generate_random_dag(gen, rng);
-  MctsOptions options;
-  options.initial_budget = 40;
-  options.min_budget = 8;
-  options.seed = 77;
-  options.num_threads = 3;
-  MctsScheduler a(options), b(options);
-  EXPECT_EQ(a.schedule(dag, cap()).makespan(dag),
-            b.schedule(dag, cap()).makespan(dag));
-  EXPECT_EQ(a.last_stats().iterations, b.last_stats().iterations);
-  EXPECT_EQ(a.last_stats().rollouts, b.last_stats().rollouts);
-}
-
-TEST(Mcts, ParallelTelemetryPopulated) {
-  MctsOptions options;
-  options.initial_budget = 30;
-  options.min_budget = 6;
-  options.num_threads = 2;
-  MctsScheduler mcts(options);
-  Dag dag = testing::make_independent(4, 3, ResourceVector{0.4, 0.4});
-  mcts.schedule(dag, cap());
-  const auto& stats = mcts.last_stats();
-  EXPECT_GT(stats.decisions, 0);
-  EXPECT_GT(stats.iterations, 0);
-  EXPECT_GT(stats.rollouts, 0);
-  EXPECT_GT(stats.nodes_expanded, 0);
-  EXPECT_GT(stats.env_copies, 0);
-  EXPECT_GT(stats.search_seconds, 0.0);
-  EXPECT_GT(stats.seconds_per_decision(), 0.0);
-  EXPECT_GT(stats.iterations_per_second(), 0.0);
-}
-
 TEST(Mcts, SerialTelemetryPopulated) {
   MctsOptions options;
   options.initial_budget = 30;
@@ -470,68 +411,6 @@ TEST(Mcts, SerialTelemetryPopulated) {
   // twice (child snapshot + rollout start).
   EXPECT_LE(stats.nodes_expanded, stats.iterations);
   EXPECT_LE(stats.env_copies, 2 * stats.iterations);
-}
-
-TEST(Mcts, SerialAndParallelStatsAccountIdentically) {
-  // With a flat budget and no deadline, every searched decision consumes
-  // exactly initial_budget iterations: trivially in the serial mode, and in
-  // the root-parallel mode because the per-worker shares sum to the budget.
-  // The parallel half of this invariant only holds when the merge folds
-  // every worker's private Stats in — a dropped accumulator undercounts.
-  DagGeneratorOptions gen;
-  gen.num_tasks = 12;
-  Rng rng(5);
-  Dag dag = generate_random_dag(gen, rng);
-
-  const std::int64_t budget = 48;
-  const auto run = [&](int threads) {
-    MctsOptions options;
-    options.initial_budget = budget;
-    options.min_budget = budget;
-    options.decay_budget = false;
-    options.seed = 21;
-    options.num_threads = threads;
-    MctsScheduler mcts(options);
-    mcts.schedule(dag, cap());
-    return mcts.last_stats();
-  };
-
-  for (const int threads : {1, 3, 4}) {
-    const auto stats = run(threads);
-    ASSERT_GT(stats.searched_decisions(), 0) << "threads " << threads;
-    EXPECT_EQ(stats.iterations, stats.searched_decisions() * budget)
-        << "threads " << threads;
-    // Terminal/aborted leaves backpropagate without a rollout.
-    EXPECT_GT(stats.rollouts, 0) << "threads " << threads;
-    EXPECT_LE(stats.rollouts, stats.iterations) << "threads " << threads;
-    EXPECT_LE(stats.nodes_expanded, stats.iterations)
-        << "threads " << threads;
-    EXPECT_EQ(stats.decisions,
-              stats.searched_decisions() + stats.forced_decisions)
-        << "threads " << threads;
-  }
-}
-
-TEST(Mcts, UncloneableGuideFallsBackToSerialSearch) {
-  // A custom guide without clone() cannot be shared across workers; the
-  // scheduler must silently run the serial search instead of racing.
-  class UniformNoClone : public DecisionPolicy {
-   public:
-    std::vector<std::pair<int, double>> action_weights(
-        const SchedulingEnv& env) override {
-      std::vector<std::pair<int, double>> out;
-      for (int a : env.valid_actions()) out.emplace_back(a, 1.0);
-      return out;
-    }
-  };
-  MctsOptions options;
-  options.initial_budget = 40;
-  options.min_budget = 10;
-  options.num_threads = 4;
-  MctsScheduler mcts(options, std::make_shared<UniformNoClone>());
-  Dag dag = testing::make_independent(4, 5, ResourceVector{0.5, 0.5});
-  EXPECT_EQ(validated_makespan(mcts, dag, cap()), 10);
-  EXPECT_GT(mcts.last_stats().iterations, 0);
 }
 
 // ASan and TSan reserve terabytes of shadow address space, so they cannot
@@ -581,14 +460,11 @@ TEST(MctsMemory, DeepBudgetSearchFitsUnderAddressLimit) {
   // Memory must follow the nodes the deadline lets the search expand, not
   // the iteration budget: reserving 50M nodes up front needs tens of GB.
   MctsOptions serial;
-  MctsOptions root_parallel;
-  root_parallel.num_threads = 2;
   MctsOptions leaf;
   leaf.search_mode = SearchMode::kLeaf;
   leaf.num_threads = 2;
   for (const auto& [name, options] :
        {std::pair<const char*, MctsOptions>{"serial", serial},
-        {"root-parallel", root_parallel},
         {"leaf", leaf}}) {
     const int status = schedule_under_address_limit(options);
     ASSERT_TRUE(WIFEXITED(status)) << name << ": wait status " << status;

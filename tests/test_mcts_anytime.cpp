@@ -133,68 +133,6 @@ TEST(FaultMcts, SpeculativeFaultTelemetryIsCounted) {
             stats.search_retries + stats.search_aborts);
 }
 
-TEST(FaultMcts, ParallelSearchKeepsPerWorkerFaultTelemetry) {
-  // The root-parallel merge must fold each worker's speculative fault
-  // counters into the scheduler Stats — before the merge was extended,
-  // search-time fault events at num_threads > 1 were silently dropped.
-  FaultOptions fault_options;
-  fault_options.fault_rate = 0.3;
-  fault_options.seed = 5;
-  auto injector =
-      std::make_shared<const FaultInjector>(fault_options, cap());
-
-  MctsOptions options;
-  options.initial_budget = 100;
-  options.min_budget = 50;
-  options.faults = injector;
-  options.retry.max_retries = 5;
-  options.num_threads = 3;
-  MctsScheduler scheduler(options);
-
-  const Dag dag = testing::make_independent(6, 5);
-  const Schedule schedule = scheduler.schedule(dag, cap());
-  EXPECT_EQ(schedule.validate_under_faults(dag, cap(), *injector),
-            std::nullopt);
-
-  const auto& stats = scheduler.last_stats();
-  EXPECT_GT(stats.search_failures, 0);
-  EXPECT_GT(stats.search_retries, 0);
-
-  // The real-trajectory counters are unaffected by the worker merge: they
-  // still match the schedule's failed attempts exactly.
-  std::int64_t failed_attempts = 0;
-  for (const auto& a : schedule.attempts()) {
-    if (!a.completed) ++failed_attempts;
-  }
-  EXPECT_EQ(stats.task_failures, failed_attempts);
-  EXPECT_EQ(stats.task_retries, failed_attempts);
-}
-
-TEST(AnytimeMcts, ParallelWorkersHonorTheDecisionDeadline) {
-  MctsOptions options;
-  options.initial_budget = 100000;  // unreachable within 1 ms
-  options.min_budget = 100000;
-  options.time_budget_ms = 1;
-  options.num_threads = 4;
-  MctsScheduler scheduler(options);
-
-  const Dag dag = testing::make_independent(8, 4);
-  const auto start = std::chrono::steady_clock::now();
-  const Schedule schedule = scheduler.schedule(dag, cap());
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(schedule.validate(dag, cap()), std::nullopt);
-  const auto& stats = scheduler.last_stats();
-  // Workers check the deadline inside their iteration loops, so the huge
-  // iteration budget must be truncated at (nearly) every decision...
-  EXPECT_GT(stats.deadline_cutoffs + stats.degradations, 0);
-  EXPECT_LT(stats.iterations, 100000 * stats.decisions);
-  // ...keeping the whole schedule within a small multiple of
-  // decisions x 1 ms (generous slack for slow CI machines).
-  EXPECT_LT(elapsed, 5.0);
-}
-
 /// Cloneable SlowGuide: leaf-parallel search requires clone() (otherwise it
 /// silently stays serial), so the deadline x leaf-mode interplay needs a
 /// guide that is both slow and cloneable.

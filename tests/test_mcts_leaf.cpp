@@ -1,6 +1,7 @@
 // Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across worker
-// counts, stats reconciliation, cache bit-identity, and the serial
-// fallback for uncloneable guides.
+// counts, stats reconciliation, cache bit-identity (the rollout-cache
+// cases also run the serial search), and the serial fallback for
+// uncloneable guides.
 
 #include "mcts/mcts.h"
 
@@ -177,36 +178,58 @@ TEST(LeafMcts, BatchedEvaluatorRuns) {
   EXPECT_GT(stats.rollout_cache_hits, 0);
 }
 
+/// leaf_options() with `mode` swapped in: two leaf workers, or the serial
+/// search (one thread).
+MctsOptions mode_options(SearchMode mode) {
+  MctsOptions options = leaf_options(mode == SearchMode::kLeaf ? 2 : 1);
+  options.search_mode = mode;
+  return options;
+}
+
+const char* mode_name(SearchMode mode) {
+  return mode == SearchMode::kLeaf ? "leaf" : "serial";
+}
+
 TEST(LeafMcts, CachesOffMatchCachesOnBitForBit) {
   // Priors are cached, never values, and greedy picks are pure functions
   // of the state — so disabling every cache must reproduce the schedule
-  // exactly, just slower.
+  // exactly, just slower, in the leaf and in the serial search alike.
   const Dag dag = test_dag(28);
-  MctsOptions with_cache = leaf_options(2);
-  MctsScheduler on(with_cache, make_guide());
-  const auto on_placements = on.schedule(dag, cap()).placements();
-  ASSERT_GT(on.last_stats().tt_hits + on.last_stats().tt_misses, 0);
+  for (const SearchMode mode : {SearchMode::kLeaf, SearchMode::kRoot}) {
+    SCOPED_TRACE(mode_name(mode));
+    const MctsOptions with_cache = mode_options(mode);
+    MctsScheduler on(with_cache, make_guide());
+    const auto on_placements = on.schedule(dag, cap()).placements();
+    if (mode == SearchMode::kLeaf) {
+      ASSERT_GT(on.last_stats().tt_hits + on.last_stats().tt_misses, 0);
+    }
+    EXPECT_GT(on.last_stats().rollout_cache_hits, 0);
 
-  MctsOptions without_cache = with_cache;
-  without_cache.transposition_capacity = 0;
-  MctsScheduler off(without_cache, make_guide());
-  const auto off_placements = off.schedule(dag, cap()).placements();
-  EXPECT_EQ(off.last_stats().tt_hits, 0);
-  EXPECT_EQ(off.last_stats().tt_misses, 0);
-  EXPECT_EQ(off.last_stats().rollout_cache_hits, 0);
-  EXPECT_EQ(off.last_stats().rollout_cache_misses, 0);
+    MctsOptions without_cache = with_cache;
+    without_cache.transposition_capacity = 0;
+    MctsScheduler off(without_cache, make_guide());
+    const auto off_placements = off.schedule(dag, cap()).placements();
+    EXPECT_EQ(off.last_stats().tt_hits, 0);
+    EXPECT_EQ(off.last_stats().tt_misses, 0);
+    EXPECT_EQ(off.last_stats().rollout_cache_hits, 0);
+    EXPECT_EQ(off.last_stats().rollout_cache_misses, 0);
 
-  expect_same_placements(on_placements, off_placements);
+    expect_same_placements(on_placements, off_placements);
+  }
 }
 
 TEST(LeafMcts, SamplingGuideKeepsRolloutCacheCold) {
   // Sampled picks consume RNG, so the action cache must stay disarmed for
   // them — a cached action would skip the draw and shift the stream.
   const Dag dag = test_dag(29, 12);
-  MctsScheduler mcts(leaf_options(2), make_guide(/*greedy=*/false));
-  mcts.schedule(dag, cap());
-  EXPECT_EQ(mcts.last_stats().rollout_cache_hits, 0);
-  EXPECT_EQ(mcts.last_stats().rollout_cache_misses, 0);
+  for (const SearchMode mode : {SearchMode::kLeaf, SearchMode::kRoot}) {
+    SCOPED_TRACE(mode_name(mode));
+    MctsScheduler mcts(mode_options(mode), make_guide(/*greedy=*/false));
+    mcts.schedule(dag, cap());
+    EXPECT_GT(mcts.last_stats().rollouts, 0);
+    EXPECT_EQ(mcts.last_stats().rollout_cache_hits, 0);
+    EXPECT_EQ(mcts.last_stats().rollout_cache_misses, 0);
+  }
 }
 
 TEST(LeafMcts, NoTreeReuseStillValid) {

@@ -511,7 +511,6 @@ TEST(SvcStatsHammer, InvariantHoldsInEverySnapshotUnderLoad) {
   options.limits.queue_capacity = 4;  // small: force queue_full sheds
   options.tenant_overrides["noisy"].max_queued = 2;  // force quota sheds
   SchedulerService service(options);
-  service.start();
 
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> violations{0};
@@ -538,6 +537,18 @@ TEST(SvcStatsHammer, InvariantHoldsInEverySnapshotUnderLoad) {
   const auto tally = [answered](bool, const SubmitResult&, const Rejection&) {
     ++*answered;
   };
+  // A never-started service keeps its submits queued, so this burst past
+  // the noisy tenant's 2-slot quota and the 4-slot queue sheds for certain
+  // (the racing phase below sheds only when the submitter outpaces the
+  // workers, which depends on CPU contention).
+  const int burst = 6;
+  for (int i = 0; i < burst; ++i) {
+    service.submit(chain_request("b" + std::to_string(i),
+                                 i < burst / 2 ? "noisy" : "quiet"),
+                   tally);
+  }
+  service.start();
+
   const int rounds = 120;
   for (int i = 0; i < rounds; ++i) {
     const std::string id = "h" + std::to_string(i);
@@ -562,7 +573,7 @@ TEST(SvcStatsHammer, InvariantHoldsInEverySnapshotUnderLoad) {
   auditor.join();
 
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(answered->load(), rounds);
+  EXPECT_EQ(answered->load(), burst + rounds);
   const ServiceCounters counters = service.counters();
   EXPECT_EQ(counters.in_flight, 0);
   EXPECT_GT(counters.rejected_queue_full + counters.rejected_quota_exceeded,

@@ -99,38 +99,6 @@ TEST(TranspositionCache, ClearDropsEverything) {
   EXPECT_NE(cache.find({3}), nullptr);
 }
 
-TEST(ActionCache, StoresAndEvictsFifo) {
-  ActionCache cache(2);
-  cache.insert({1}, 10);
-  cache.insert({2}, 20);
-  const int* hit = cache.find({1});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 10);
-
-  cache.insert({3}, 30);  // evicts key {1}
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find({1}), nullptr);
-  ASSERT_NE(cache.find({2}), nullptr);
-  EXPECT_EQ(*cache.find({2}), 20);
-  ASSERT_NE(cache.find({3}), nullptr);
-  EXPECT_EQ(*cache.find({3}), 30);
-}
-
-TEST(ActionCache, DuplicateInsertKeepsFirstEntry) {
-  ActionCache cache(4);
-  cache.insert({5}, 1);
-  cache.insert({5}, 2);
-  ASSERT_NE(cache.find({5}), nullptr);
-  EXPECT_EQ(*cache.find({5}), 1);
-}
-
-TEST(ActionCache, ZeroCapacityDisables) {
-  ActionCache cache(0);
-  cache.insert({1}, 42);
-  EXPECT_EQ(cache.find({1}), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(CanonicalKey, IdenticalStatesProduceIdenticalKeys) {
   SchedulingEnv env = make_env(testing::make_independent(3, 4));
   const SchedulingEnv copy = env;
